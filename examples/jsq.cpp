@@ -24,6 +24,11 @@
  * command-line position asking for that query — duplicates share one
  * stream, and -c repeats the shared count at every position.
  *
+ * Without --chunk-bytes the whole input is resident: a regular file
+ * (or stdin redirected from one) is mapped read-only, so its memory is
+ * file-backed page cache rather than a private copy; a pipe or tty is
+ * read once into memory (intervals/mapped_input.h).
+ *
  * --chunk-bytes N switches to bounded-memory ingestion: the input —
  * file, pipe, or stdin — is pulled through the engine in N-byte chunks
  * and is never materialized as a whole; resident memory is bounded by
@@ -40,17 +45,21 @@
  *                       (FILE.jski): load when fresh, (re)build and
  *                       save when missing or stale
  */
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 #include "index/structural_index.h"
 #include "intervals/chunk_source.h"
+#include "intervals/mapped_input.h"
 #include "json/writer.h"
 #include "kernels/kernel.h"
 #include "path/parser.h"
@@ -78,7 +87,7 @@ struct Options
     bool explain_only = false;
     bool profile = false;
     size_t limit = 0;       // 0 = unlimited
-    size_t chunk_bytes = 0; // 0 = materialize the input (legacy path)
+    size_t chunk_bytes = 0; // 0 = the whole input resident (mapped)
     std::string index_save;
     std::string index_load;
     bool index_cache = false;
@@ -178,22 +187,16 @@ parseArgs(int argc, char** argv)
     return opt;
 }
 
-std::string
-readInput(const Options& opt)
+/**
+ * The whole input as one resident view: the file argument, or stdin
+ * without one.  Regular files are mapped, not copied (mapped_input.h).
+ */
+intervals::MappedInput
+loadInput(const Options& opt)
 {
-    if (opt.file.empty()) {
-        std::ostringstream ss;
-        ss << std::cin.rdbuf();
-        return ss.str();
-    }
-    std::ifstream in(opt.file, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "jsq: cannot open %s\n", opt.file.c_str());
-        std::exit(1);
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    if (opt.file.empty())
+        return intervals::MappedInput(STDIN_FILENO);
+    return intervals::MappedInput(opt.file);
 }
 
 /** Print-and-maybe-stop sink used for the single-query path. */
@@ -345,7 +348,7 @@ printProfile(const std::string& query, size_t input_bytes, size_t matches,
  * back to streaming (or rebuilds, with --index-cache).
  */
 std::optional<index::StructuralIndex>
-resolveSidecar(const Options& opt, const std::string& input)
+resolveSidecar(const Options& opt, std::string_view input)
 {
     std::optional<index::StructuralIndex> sidecar;
     if (!opt.index_load.empty()) {
@@ -412,11 +415,8 @@ main(int argc, char** argv)
             std::istream* in = &std::cin;
             if (!opt.file.empty()) {
                 file.open(opt.file, std::ios::binary);
-                if (!file) {
-                    std::fprintf(stderr, "jsq: cannot open %s\n",
-                                 opt.file.c_str());
-                    return 1;
-                }
+                if (!file)
+                    throw intervals::openError(opt.file, errno);
                 in = &file;
             }
             ski::RecordReader reader(
@@ -462,11 +462,8 @@ main(int argc, char** argv)
             intervals::ChunkSource* src = nullptr;
             if (!opt.file.empty()) {
                 f = std::fopen(opt.file.c_str(), "rb");
-                if (f == nullptr) {
-                    std::fprintf(stderr, "jsq: cannot open %s\n",
-                                 opt.file.c_str());
-                    return 1;
-                }
+                if (f == nullptr)
+                    throw intervals::openError(opt.file, errno);
                 file_src.emplace(f);
                 src = &*file_src;
             } else {
@@ -541,7 +538,8 @@ main(int argc, char** argv)
             return 0;
         }
 
-        std::string input = readInput(opt);
+        const intervals::MappedInput loaded = loadInput(opt);
+        std::string_view input = loaded.view();
         std::vector<std::pair<size_t, size_t>> spans;
         if (opt.records)
             spans = ski::scanRecords(input);
@@ -562,8 +560,7 @@ main(int argc, char** argv)
             {
                 telemetry::Scope scope(reg);
                 for (auto [off, len] : spans) {
-                    std::string_view slice =
-                        std::string_view(input).substr(off, len);
+                    std::string_view slice = input.substr(off, len);
                     ski::StreamResult r =
                         sidecar ? streamer.runIndexed(slice, *sidecar,
                                                       &sink)
@@ -611,8 +608,7 @@ main(int argc, char** argv)
             {
                 telemetry::Scope scope(reg);
                 for (auto [off, len] : spans) {
-                    auto r = ms.run(
-                        std::string_view(input).substr(off, len), &sink);
+                    auto r = ms.run(input.substr(off, len), &sink);
                     for (size_t qi = 0; qi < set.size(); ++qi) {
                         agg.matches[qi] += r.matches[qi];
                         agg.per_query[qi].merge(r.per_query[qi]);

@@ -30,11 +30,12 @@
  */
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
+#include <unistd.h>
+
+#include "intervals/mapped_input.h"
 #include "service/loopback.h"
 #include "service/protocol.h"
 #include "util/parse.h"
@@ -146,22 +147,10 @@ main(int argc, char** argv)
         if (i != argc)
             usage();
 
-        std::string body;
-        if (file.empty()) {
-            std::ostringstream ss;
-            ss << std::cin.rdbuf();
-            body = ss.str();
-        } else {
-            std::ifstream in(file, std::ios::binary);
-            if (!in) {
-                std::fprintf(stderr, "jsqc: cannot open %s\n",
-                             file.c_str());
-                return 1;
-            }
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            body = ss.str();
-        }
+        const intervals::MappedInput input =
+            file.empty() ? intervals::MappedInput(STDIN_FILENO)
+                         : intervals::MappedInput(file);
+        std::string_view body = input.view();
         if (header.has_length)
             header.length = body.size();
 

@@ -6,6 +6,7 @@
 
 #include "index/structural_scan.h"
 #include "intervals/classifier.h"
+#include "intervals/mapped_input.h"
 
 namespace jsonski::index {
 
@@ -559,19 +560,15 @@ saveIndexFile(const StructuralIndex& idx, const std::string& path)
 StructuralIndex
 loadIndexFile(const std::string& path)
 {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        throw IndexError(0, "cannot open " + path);
-    std::string bytes;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) != 0)
-        bytes.append(buf, n);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        throw IndexError(bytes.size(), "read error on " + path);
-    return StructuralIndex::deserialize(bytes);
+    try {
+        intervals::MappedInput in(path);
+        return StructuralIndex::deserialize(in.view());
+    } catch (const ParseError& e) {
+        // An unreadable sidecar is an artifact problem, not a document
+        // one: keep the IndexError contract callers fall back on.
+        throw IndexError(e.position(),
+                         "read error on " + path + " (" + e.what() + ")");
+    }
 }
 
 } // namespace jsonski::index

@@ -1176,15 +1176,18 @@ Streamer::runIndexed(std::string_view json,
                      const index::StructuralIndex& idx,
                      MatchSink* sink) const
 {
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return runIndexed(source, idx, sink, chunk);
-    }
-    if (!idx.usable() || idx.levels() == 0)
+    size_t chunk = testChunkBytesOverride();
+    if (chunk == 0 && (!idx.usable() || idx.levels() == 0))
         return runResident(json, sink); // unclean document: stream
     ForwardingCountSink counted(sink);
     MatchSink* inner = sink ? static_cast<MatchSink*>(&counted) : nullptr;
     try {
+        if (chunk != 0) {
+            // Rerouted through chunks, but the bytes are still
+            // resident: the replay rule below applies unchanged.
+            intervals::ViewSource source(json);
+            return runIndexed(source, idx, inner, chunk);
+        }
         StreamResult result;
         if (query_.hasInteriorDescendant()) {
             NfaDriver driver(query_, options_, json, inner, result);
@@ -1217,7 +1220,7 @@ Streamer::runIndexed(std::string_view json,
         if (e.code() != ErrorCode::IndexMismatch ||
             counted.forwarded() != 0)
             throw;
-        return runResident(json, sink);
+        return run(json, sink);
     }
 }
 
