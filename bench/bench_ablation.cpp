@@ -4,11 +4,13 @@
  *  - full JSONSki (all fast-forward groups, SIMD classifier, batching)
  *  - no G1 type filter (attributes/elements examined name-by-name)
  *  - no batched primitive skipping (one comma interval per primitive)
- *  - scalar classifier (same architecture, char-level classification)
+ *  - scalar kernel (same architecture, no SIMD: the portable kernel
+ *    forced for the run, as JSONSKI_KERNEL=scalar would)
  * plus the JPStream baseline as the "no bit-parallel fast-forward at
  * all" endpoint.
  */
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "baseline/jpstream/engine.h"
@@ -16,6 +18,7 @@
 #include "gen/datasets.h"
 #include "harness/engines.h"
 #include "harness/runner.h"
+#include "kernels/kernel.h"
 #include "path/parser.h"
 #include "ski/streamer.h"
 
@@ -28,6 +31,7 @@ struct Variant
 {
     const char* name;
     ski::StreamerOptions options;
+    const char* kernel; ///< forced SIMD kernel, or null for the active one
 };
 
 } // namespace
@@ -40,10 +44,10 @@ main(int argc, char** argv)
                   bytes);
 
     const Variant variants[] = {
-        {"full", {}},
-        {"no-G1-filter", {.type_filter = false}},
-        {"no-batching", {.batch_primitives = false}},
-        {"scalar-classify", {.scalar_classifier = true}},
+        {"full", {}, nullptr},
+        {"no-G1-filter", {.type_filter = false}, nullptr},
+        {"no-batching", {.batch_primitives = false}, nullptr},
+        {"scalar-classify", {}, "scalar"},
     };
 
     BenchReport report("ablation", "contribution of each design choice");
@@ -65,6 +69,9 @@ main(int argc, char** argv)
         std::vector<std::string> row = {std::string(spec.id)};
         size_t reference = 0;
         for (const Variant& v : variants) {
+            std::optional<kernels::Override> guard;
+            if (v.kernel != nullptr)
+                guard.emplace(*kernels::find(v.kernel));
             ski::Streamer streamer(q, v.options);
             Timing t = timeBest(
                 [&] { return streamer.run(json).matches; }, 2);

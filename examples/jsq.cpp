@@ -48,7 +48,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -198,6 +197,44 @@ loadInput(const Options& opt)
         return intervals::MappedInput(STDIN_FILENO);
     return intervals::MappedInput(opt.file);
 }
+
+/**
+ * The input as a forward-only ChunkSource, for -r and --chunk-bytes:
+ * the file argument through a FileSource, or stdin without one.  Open
+ * and read failures are the same typed errors as the whole-file path.
+ */
+class StreamInput
+{
+  public:
+    explicit StreamInput(const Options& opt)
+    {
+        if (opt.file.empty()) {
+            src_ = &cin_.emplace(std::cin);
+            return;
+        }
+        f_ = std::fopen(opt.file.c_str(), "rb");
+        if (f_ == nullptr)
+            throw intervals::openError(opt.file, errno);
+        src_ = &file_.emplace(f_);
+    }
+
+    ~StreamInput()
+    {
+        if (f_ != nullptr)
+            std::fclose(f_);
+    }
+
+    StreamInput(const StreamInput&) = delete;
+    StreamInput& operator=(const StreamInput&) = delete;
+
+    intervals::ChunkSource& source() { return *src_; }
+
+  private:
+    std::FILE* f_ = nullptr;
+    std::optional<intervals::FileSource> file_;
+    std::optional<intervals::IstreamSource> cin_;
+    intervals::ChunkSource* src_ = nullptr;
+};
 
 /** Print-and-maybe-stop sink used for the single-query path. */
 class PrintSink : public path::MatchSink
@@ -411,16 +448,10 @@ main(int argc, char** argv)
     try {
         if (opt.records && opt.queries.size() == 1) {
             // True streaming: a fixed window over the record stream.
-            std::ifstream file;
-            std::istream* in = &std::cin;
-            if (!opt.file.empty()) {
-                file.open(opt.file, std::ios::binary);
-                if (!file)
-                    throw intervals::openError(opt.file, errno);
-                in = &file;
-            }
+            StreamInput in(opt);
             ski::RecordReader reader(
-                *in, opt.chunk_bytes != 0 ? opt.chunk_bytes : 1 << 20);
+                in.source(),
+                opt.chunk_bytes != 0 ? opt.chunk_bytes : 1 << 20);
             path::PathQuery query = path::parse(opt.queries[0]);
             if (opt.profile)
                 std::fprintf(stderr, "%s", ski::explain(query).c_str());
@@ -456,20 +487,8 @@ main(int argc, char** argv)
         if (!opt.records && opt.chunk_bytes != 0) {
             // Bounded-memory ingestion: pull the input through the
             // engine chunk by chunk, never materializing the document.
-            std::FILE* f = nullptr;
-            std::optional<intervals::FileSource> file_src;
-            std::optional<intervals::IstreamSource> cin_src;
-            intervals::ChunkSource* src = nullptr;
-            if (!opt.file.empty()) {
-                f = std::fopen(opt.file.c_str(), "rb");
-                if (f == nullptr)
-                    throw intervals::openError(opt.file, errno);
-                file_src.emplace(f);
-                src = &*file_src;
-            } else {
-                cin_src.emplace(std::cin);
-                src = &*cin_src;
-            }
+            StreamInput in(opt);
+            intervals::ChunkSource& src = in.source();
 
             if (opt.queries.size() == 1) {
                 path::PathQuery query = path::parse(opt.queries[0]);
@@ -482,7 +501,7 @@ main(int argc, char** argv)
                 telemetry::Registry reg;
                 {
                     telemetry::Scope scope(reg);
-                    r = streamer.run(*src, &sink, opt.chunk_bytes);
+                    r = streamer.run(src, &sink, opt.chunk_bytes);
                 }
                 if (opt.count_only)
                     std::printf("%zu\n", sink.count);
@@ -519,7 +538,7 @@ main(int argc, char** argv)
                 telemetry::Registry reg;
                 {
                     telemetry::Scope scope(reg);
-                    r = ms.run(*src, &sink, opt.chunk_bytes);
+                    r = ms.run(src, &sink, opt.chunk_bytes);
                 }
                 if (opt.count_only)
                     printMultiCounts(opt.queries, set, r.matches);
@@ -533,8 +552,6 @@ main(int argc, char** argv)
                 if (opt.stats)
                     printMultiStats(ms, r, r.input_bytes);
             }
-            if (f != nullptr)
-                std::fclose(f);
             return 0;
         }
 

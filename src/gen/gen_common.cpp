@@ -63,7 +63,9 @@ url(Rng& rng)
 std::string
 timestamp(Rng& rng)
 {
-    char buf[32];
+    // Sized for any int (six fields of up to 11 chars each) so format
+    // truncation is provably impossible; real values are 20 chars.
+    char buf[80];
     std::snprintf(buf, sizeof(buf), "20%02d-%02d-%02dT%02d:%02d:%02dZ",
                   static_cast<int>(rng.below(27)),
                   static_cast<int>(rng.below(12)) + 1,

@@ -5,11 +5,9 @@
 
 namespace jsonski::intervals {
 
-StreamCursor::StreamCursor(ChunkSource& source, size_t chunk_bytes,
-                           bool scalar_classifier)
+StreamCursor::StreamCursor(ChunkSource& source, size_t chunk_bytes)
     : data_(nullptr),
       len_(0),
-      scalar_classifier_(scalar_classifier),
       src_(&source),
       eof_(false),
       chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes)
@@ -128,17 +126,8 @@ StreamCursor::classifyThrough(size_t idx)
             if (start + kBlockSize > len_)
                 prepareTail(start);
         }
-        const char* d = blockDataAt(classified_blocks_);
-        if (scalar_classifier_) {
-            // Ablation mode: derive the string layer from the
-            // character-level reference classifier.
-            BlockBits b = classifyBlockReference(
-                d, kBlockSize, carry_);
-            strings_.in_string = b.in_string;
-            strings_.quote = b.quote;
-        } else {
-            strings_ = classifyStringsBlock(d, carry_);
-        }
+        strings_ = classifyStringsBlock(blockDataAt(classified_blocks_),
+                                        carry_);
         ++classified_blocks_;
     }
     telemetry::count(telemetry::Counter::BlocksClassified,
@@ -150,25 +139,9 @@ StreamCursor::classifyThrough(size_t idx)
 bool
 StreamCursor::warpTo(size_t target, ClassifierCarry carry)
 {
-    if (target >= len_) {
-        if (src_ == nullptr || eof_)
-            return false;
-        // Ingest up to the target in chunk strides, advancing the
-        // position and the classifier mark with the frontier so the
-        // discard floor follows and the window is recycled instead of
-        // accumulating the whole skipped span.  Blocks passed this way
-        // are never string-classified — that is the point of the warp;
-        // the index's entry carry replaces their contribution below.
-        while (len_ <= target && !eof_) {
-            if (pos_ < len_)
-                pos_ = len_;
-            if (classified_blocks_ < pos_ / kBlockSize)
-                classified_blocks_ = pos_ / kBlockSize;
-            refillTo(std::min(target + 1, len_ + chunk_bytes_));
-        }
-        if (target >= len_)
-            return false; // source exhausted short of the target
-    }
+    assert(!chunked() && "the warm path needs resident input");
+    if (target >= len_)
+        return false;
     size_t blk = target / kBlockSize;
     if (blk + 1 <= classified_blocks_)
         return true; // already classified past the target: no skip

@@ -84,15 +84,9 @@ class StreamCursor
     /**
      * Attach to a resident JSON buffer; the buffer must outlive the
      * cursor.
-     *
-     * @param scalar_classifier Use the character-level reference
-     *        classifier instead of the SIMD one (ablation studies).
      */
-    explicit StreamCursor(std::string_view input,
-                          bool scalar_classifier = false)
-        : data_(input.data()),
-          len_(input.size()),
-          scalar_classifier_(scalar_classifier)
+    explicit StreamCursor(std::string_view input)
+        : data_(input.data()), len_(input.size())
     {}
 
     /**
@@ -104,8 +98,7 @@ class StreamCursor
      *        steady-state resident window is one block-rounded chunk
      *        plus one block of slack.
      */
-    StreamCursor(ChunkSource& source, size_t chunk_bytes,
-                 bool scalar_classifier = false);
+    StreamCursor(ChunkSource& source, size_t chunk_bytes);
 
     /** Current absolute byte position. */
     size_t pos() const { return pos_; }
@@ -225,13 +218,8 @@ class StreamCursor
      * @p target, resuming from @p carry (supplied by a structural
      * index, index/structural_index.h) instead of classifying the
      * skipped blocks.  The position is left unchanged — callers
-     * setPos() afterwards.
-     *
-     * In chunked mode the bytes up to @p target are ingested on the
-     * way, recycling the window as the frontier advances, so a warp
-     * over an arbitrarily long span keeps the steady-state residency
-     * bound; retention holds pin bytes exactly as they do for a
-     * streaming scan.
+     * setPos() afterwards.  @pre whole-buffer mode (the warm path
+     * runs over resident input only).
      *
      * @return false when the input ends at or before @p target — the
      *         index disagrees with the document; callers raise
@@ -426,7 +414,6 @@ class StreamCursor
     const char* data_;
     size_t len_;
     size_t pos_ = 0;
-    bool scalar_classifier_ = false;
 
     ClassifierCarry carry_{};
     StringBits strings_{};

@@ -1,9 +1,10 @@
 /**
  * @file
  * Test hook shared by the streaming entry points: setting
- * JSONSKI_TEST_CHUNK_BYTES=N in the environment reroutes every
- * whole-buffer run (Streamer, MultiStreamer) through the chunked
- * ingestion path with N-byte chunks.  The CI seam leg runs the whole
+ * JSONSKI_TEST_CHUNK_BYTES=N in the environment reroutes the
+ * whole-buffer run() of Streamer and MultiStreamer through the chunked
+ * ingestion path with N-byte chunks (runResident and runIndexed stay
+ * resident).  The CI seam leg runs the whole
  * test suite this way under ASan+UBSan, so every existing test doubles
  * as a chunk-seam test without knowing it.
  */

@@ -5,6 +5,7 @@
 #include "intervals/cursor.h"
 #include "json/text.h"
 #include "ski/chunk_override.h"
+#include "ski/pass.h"
 #include "ski/sinks.h"
 #include "ski/skipper.h"
 #include "util/error.h"
@@ -157,42 +158,20 @@ class SuffixSink final : public path::MatchSink
 } // namespace
 
 /** One multi-query pass over a single record. */
-class MultiDriver
+class MultiDriver : public Pass<MultiDriver, MultiStreamer::Result>
 {
   public:
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                std::string_view json, MultiSink* sink,
-                MultiStreamer::Result& result)
-        : ms_(ms),
-          trie_(trie),
-          cur_(json),
-          skip_(cur_, &result.stats),
+    /** @p input is forwarded to the StreamCursor: a resident view, or
+     *  a ChunkSource and its chunk size. */
+    template <class... Input>
+    MultiDriver(const MultiStreamer& ms, MultiSink* sink,
+                MultiStreamer::Result& result, Input&&... input)
+        : Pass(result, std::forward<Input>(input)...),
+          ms_(ms),
+          trie_(ms.trie_),
           sink_(sink),
-          result_(result),
           emit_bits_(ms.queryCount())
     {}
-
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                intervals::ChunkSource& source, size_t chunk_bytes,
-                MultiSink* sink, MultiStreamer::Result& result)
-        : ms_(ms),
-          trie_(trie),
-          cur_(source, chunk_bytes),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result),
-          emit_bits_(ms.queryCount())
-    {}
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-    }
 
     void
     run()
@@ -468,12 +447,20 @@ class MultiDriver
     const MultiStreamer& ms_;
     const std::vector<MultiStreamer::Node>& trie_;
     std::vector<std::string_view> scratch_keys_;
-    intervals::StreamCursor cur_;
-    Skipper skip_;
     MultiSink* sink_;
-    MultiStreamer::Result& result_;
     path::QueryBits emit_bits_;
 };
+
+template <class... Input>
+MultiStreamer::Result
+MultiStreamer::pass(MultiSink* sink, Input&&... input) const
+{
+    Result result;
+    result.matches.assign(set_.size(), 0);
+    result.per_query.assign(set_.size(), FastForwardStats{});
+    MultiDriver(*this, sink, result, std::forward<Input>(input)...).drive();
+    return result;
+}
 
 MultiStreamer::Result
 MultiStreamer::run(std::string_view json, MultiSink* sink) const
@@ -482,33 +469,14 @@ MultiStreamer::run(std::string_view json, MultiSink* sink) const
         intervals::ViewSource source(json);
         return run(source, sink, chunk);
     }
-    Result result;
-    result.matches.assign(set_.size(), 0);
-    result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // Early termination requested by the sink; partial result.
-    }
-    driver.finish();
-    return result;
+    return pass(sink, json);
 }
 
 MultiStreamer::Result
 MultiStreamer::run(intervals::ChunkSource& source, MultiSink* sink,
                    size_t chunk_bytes) const
 {
-    Result result;
-    result.matches.assign(set_.size(), 0);
-    result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, source, chunk_bytes, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
+    return pass(sink, source, chunk_bytes);
 }
 
 } // namespace jsonski::ski

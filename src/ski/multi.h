@@ -150,6 +150,10 @@ class MultiStreamer
   private:
     friend class MultiDriver;
 
+    /** The one pass shell (ski/pass.h) behind both run() overloads. */
+    template <class... Input>
+    Result pass(MultiSink* sink, Input&&... input) const;
+
     /** A query's divergent tail: replayed by a single-query engine. */
     struct Suffix
     {

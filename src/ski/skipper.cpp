@@ -215,7 +215,7 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
         // next-bit query and the separators before it are a rank/
         // select.  Scan-hold and position land exactly where the
         // block-by-block scan leaves them, so downstream key recovery
-        // (keyBefore) and chunked retention behave identically.
+        // (keyBefore) behaves identically.
         auto level = static_cast<size_t>(lvl);
         size_t stop = index_->nextOpenOrClose(level, start);
         if (stop == index::StructuralIndex::kNone)
@@ -229,8 +229,8 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
             size_t k = index_->selectComma(level, start, stop, budget);
             assert(k != index::StructuralIndex::kNone);
             seps = max_seps;
-            // Release bytes behind the budget separator before the
-            // warp so the window recycles over the skipped span.
+            // keyBefore recovers keys from the scan hold: leave it
+            // where the block-by-block scan would.
             cur_.setScanHold(k + 1);
             if (!cur_.warpTo(k, index_->carryFor(k / kBlockSize)))
                 throw ParseError(ErrorCode::IndexMismatch,

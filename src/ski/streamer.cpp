@@ -12,6 +12,7 @@
 #include "path/filter.h"
 #include "path/parser.h"
 #include "ski/chunk_override.h"
+#include "ski/pass.h"
 #include "ski/sinks.h"
 #include "util/error.h"
 
@@ -41,52 +42,20 @@ class DepthScope
 };
 
 /** One streaming pass over a single record. */
-class Driver
+class Driver : public Pass<Driver, StreamResult>
 {
   public:
+    /** @p input is forwarded to the StreamCursor: a resident view, or
+     *  a ChunkSource and its chunk size. */
+    template <class... Input>
     Driver(const PathQuery& query, const StreamerOptions& options,
-           std::string_view json, MatchSink* sink, StreamResult& result)
-        : q_(query),
+           MatchSink* sink, StreamResult& result, Input&&... input)
+        : Pass(result, std::forward<Input>(input)...),
+          q_(query),
           options_(options),
-          cur_(json, options.scalar_classifier),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
+          sink_(sink)
     {
         skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    Driver(const PathQuery& query, const StreamerOptions& options,
-           intervals::ChunkSource& source, size_t chunk_bytes,
-           MatchSink* sink, StreamResult& result)
-        : q_(query),
-          options_(options),
-          cur_(source, chunk_bytes, options.scalar_classifier),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-    }
-
-    /**
-     * Bind a structural semi-index (built from exactly this input) to
-     * the pass's skipper.  Only the top-level driver is ever bound:
-     * nested continuation drivers run over slices whose positions are
-     * slice-relative, which the document-absolute index cannot serve.
-     */
-    void
-    bindIndex(const index::StructuralIndex* idx)
-    {
-        skip_.bindIndex(idx, &depth_);
     }
 
     void
@@ -436,8 +405,8 @@ class Driver
                               q_.steps.end());
             cont_[state] = std::move(sub);
         }
-        Driver sub(*cont_[state], options_, cur_.slice(start, end),
-                   sink_, result_);
+        Driver sub(*cont_[state], options_, sink_, result_,
+                   cur_.slice(start, end));
         try {
             sub.run();
         } catch (const ParseError& e) {
@@ -594,15 +563,10 @@ class Driver
 
     const PathQuery& q_;
     const StreamerOptions& options_;
-    StreamCursor cur_;
-    Skipper skip_;
     MatchSink* sink_;
-    StreamResult& result_;
     std::vector<std::pair<size_t, size_t>> desc_pending_;
     size_t desc_flushed_ = 0; ///< slots already delivered to the sink
     int desc_depth_ = 0;
-    /** Containers entered and not yet closed (index level source). */
-    int depth_ = 0;
     /** Cached suffix queries for filter continuations, by start step. */
     std::vector<std::unique_ptr<PathQuery>> cont_;
 };
@@ -649,52 +613,19 @@ class TranslatingSink : public MatchSink
  * apply everywhere, and filter candidates keep the G3-or-G2 verdict
  * protocol of the linear driver.
  */
-class NfaDriver
+class NfaDriver : public Pass<NfaDriver, StreamResult>
 {
   public:
+    /** @p input is forwarded to the StreamCursor (see Driver). */
+    template <class... Input>
     NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              std::string_view json, MatchSink* sink,
-              StreamResult& result)
-        : q_(query),
+              MatchSink* sink, StreamResult& result, Input&&... input)
+        : Pass(result, std::forward<Input>(input)...),
+          q_(query),
           options_(options),
-          cur_(json, options.scalar_classifier),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
+          sink_(sink)
     {
         skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              intervals::ChunkSource& source, size_t chunk_bytes,
-              MatchSink* sink, StreamResult& result)
-        : q_(query),
-          options_(options),
-          cur_(source, chunk_bytes, options.scalar_classifier),
-          skip_(cur_, &result.stats),
-          sink_(sink),
-          result_(result)
-    {
-        skip_.setBatchPrimitives(options.batch_primitives);
-    }
-
-    /** Record ingestion totals once the pass is over. */
-    void
-    finish()
-    {
-        result_.input_bytes = cur_.size();
-        result_.ingest = cur_.ingestStats();
-    }
-
-    /**
-     * Bind a structural semi-index built from exactly this input.
-     * Top-level drivers only — interior replays (runInterior) run over
-     * slices with slice-relative positions the index cannot serve.
-     */
-    void
-    bindIndex(const index::StructuralIndex* idx)
-    {
-        skip_.bindIndex(idx, &depth_);
     }
 
     void
@@ -1027,7 +958,7 @@ class NfaDriver
     {
         std::string_view span = cur_.slice(start, end);
         TranslatingSink tsink(pending_, span.data(), start);
-        NfaDriver sub(q_, options_, span, &tsink, result_);
+        NfaDriver sub(q_, options_, &tsink, result_, span);
         try {
             sub.runFrom(set, depth_);
         } catch (const ParseError& e) {
@@ -1068,18 +999,35 @@ class NfaDriver
 
     const PathQuery& q_;
     const StreamerOptions& options_;
-    StreamCursor cur_;
-    Skipper skip_;
     MatchSink* sink_;
-    StreamResult& result_;
     std::vector<std::pair<size_t, size_t>> pending_;
     size_t flushed_ = 0;   ///< slots already delivered to the sink
     size_t pin_ = StreamCursor::kNoHold; ///< active candidate hold
     bool count_matches_ = true; ///< false in nested candidate replays
-    int depth_ = 0;
 };
 
 } // namespace
+
+template <class... Input>
+StreamResult
+Streamer::pass(const index::StructuralIndex* idx, MatchSink* sink,
+               Input&&... input) const
+{
+    StreamResult result;
+    if (nfa_) {
+        // Nondeterministic surface: the multiset driver (DESIGN.md
+        // §13).  Everything else keeps the linear driver's exact
+        // traversal, byte charges, and emissions.
+        NfaDriver(query_, options_, sink, result,
+                  std::forward<Input>(input)...)
+            .drive(idx);
+    } else {
+        Driver(query_, options_, sink, result,
+               std::forward<Input>(input)...)
+            .drive(idx);
+    }
+    return result;
+}
 
 StreamResult
 Streamer::run(std::string_view json, MatchSink* sink) const
@@ -1094,52 +1042,14 @@ Streamer::run(std::string_view json, MatchSink* sink) const
 StreamResult
 Streamer::runResident(std::string_view json, MatchSink* sink) const
 {
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        // Nondeterministic surface: the multiset driver (DESIGN.md
-        // §13).  Everything else keeps the linear driver's exact
-        // traversal, byte charges, and emissions.
-        NfaDriver driver(query_, options_, json, sink, result);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // A sink requested early termination; the partial result
-        // (matches delivered so far) is valid.
-    }
-    driver.finish();
-    return result;
+    return pass(nullptr, sink, json);
 }
 
 StreamResult
 Streamer::run(intervals::ChunkSource& source, MatchSink* sink,
               size_t chunk_bytes) const
 {
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
+    return pass(nullptr, sink, source, chunk_bytes);
 }
 
 namespace {
@@ -1176,37 +1086,11 @@ Streamer::runIndexed(std::string_view json,
                      const index::StructuralIndex& idx,
                      MatchSink* sink) const
 {
-    size_t chunk = testChunkBytesOverride();
-    if (chunk == 0 && (!idx.usable() || idx.levels() == 0))
+    if (!idx.usable() || idx.levels() == 0)
         return runResident(json, sink); // unclean document: stream
     ForwardingCountSink counted(sink);
-    MatchSink* inner = sink ? static_cast<MatchSink*>(&counted) : nullptr;
     try {
-        if (chunk != 0) {
-            // Rerouted through chunks, but the bytes are still
-            // resident: the replay rule below applies unchanged.
-            intervals::ViewSource source(json);
-            return runIndexed(source, idx, inner, chunk);
-        }
-        StreamResult result;
-        if (query_.hasInteriorDescendant()) {
-            NfaDriver driver(query_, options_, json, inner, result);
-            driver.bindIndex(&idx);
-            try {
-                driver.run();
-            } catch (const StopStreaming&) {
-            }
-            driver.finish();
-            return result;
-        }
-        Driver driver(query_, options_, json, inner, result);
-        driver.bindIndex(&idx);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
+        return pass(&idx, sink ? &counted : nullptr, json);
     } catch (const ParseError& e) {
         // A self-built index only contradicts the driver on
         // grammatically invalid (though structurally clean) documents,
@@ -1220,42 +1104,8 @@ Streamer::runIndexed(std::string_view json,
         if (e.code() != ErrorCode::IndexMismatch ||
             counted.forwarded() != 0)
             throw;
-        return run(json, sink);
+        return runResident(json, sink);
     }
-}
-
-StreamResult
-Streamer::runIndexed(intervals::ChunkSource& source,
-                     const index::StructuralIndex& idx, MatchSink* sink,
-                     size_t chunk_bytes) const
-{
-    // Unlike the resident overload, a defensive IndexMismatch cannot
-    // fall back to a plain replay here: the source is forward-only and
-    // the warm skips have already consumed it.  It propagates typed
-    // (fail closed) — reachable only for grammatically invalid
-    // documents or a caller-contract-violating foreign index.
-    if (!idx.usable() || idx.levels() == 0)
-        return run(source, sink, chunk_bytes);
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        driver.bindIndex(&idx);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    driver.bindIndex(&idx);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
 }
 
 QueryResult

@@ -56,9 +56,6 @@ struct StreamerOptions
 
     /** Batched primitive-run skipping (enhanced goOverPriAttrs). */
     bool batch_primitives = true;
-
-    /** Use the scalar reference classifier instead of SIMD. */
-    bool scalar_classifier = false;
 };
 
 /**
@@ -69,7 +66,9 @@ class Streamer
 {
   public:
     explicit Streamer(path::PathQuery query, StreamerOptions options = {})
-        : query_(std::move(query)), options_(options)
+        : query_(std::move(query)),
+          options_(options),
+          nfa_(query_.hasInteriorDescendant())
     {}
 
     /** The compiled query. */
@@ -128,24 +127,23 @@ class Streamer
      * *wrong* index for the document surfaces as
      * ParseError(ErrorCode::IndexMismatch), never as wrong output.
      *
-     * JSONSKI_TEST_CHUNK_BYTES reroutes this overload through the
-     * chunked variant exactly as it does for run().
+     * Like runResident(), never rerouted by JSONSKI_TEST_CHUNK_BYTES:
+     * the warm path runs over resident input only.
      */
     StreamResult runIndexed(std::string_view json,
                             const index::StructuralIndex& idx,
                             MatchSink* sink = nullptr) const;
 
-    /** Chunked counterpart of runIndexed(); the warp over a skipped
-     *  span ingests and recycles the window as it goes, so residency
-     *  bounds match the chunked run() overload. */
-    StreamResult runIndexed(intervals::ChunkSource& source,
-                            const index::StructuralIndex& idx,
-                            MatchSink* sink = nullptr,
-                            size_t chunk_bytes = kDefaultChunkBytes) const;
-
   private:
+    /** The one pass shell (ski/pass.h) behind every entry point. */
+    template <class... Input>
+    StreamResult pass(const index::StructuralIndex* idx, MatchSink* sink,
+                      Input&&... input) const;
+
     path::PathQuery query_;
     StreamerOptions options_;
+    /** Interior descendant steps: run the NFA driver (DESIGN.md §13). */
+    bool nfa_;
 };
 
 /**

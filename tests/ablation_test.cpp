@@ -1,13 +1,15 @@
 /**
  * @file
  * The ablation knobs must never change results — only performance.
- * Every option combination is run against every paper query on small
- * generated datasets and must agree with the default configuration.
+ * Every option combination, under the active and the scalar kernel, is
+ * run against every paper query on small generated datasets and must
+ * agree with the default configuration.
  */
 #include <gtest/gtest.h>
 
 #include "gen/datasets.h"
 #include "harness/engines.h"
+#include "kernels/kernel.h"
 #include "path/parser.h"
 #include "ski/streamer.h"
 
@@ -15,6 +17,7 @@ using namespace jsonski::ski;
 using jsonski::gen::generateLarge;
 using jsonski::path::CollectSink;
 using jsonski::path::parse;
+namespace kernels = jsonski::kernels;
 
 namespace {
 
@@ -39,11 +42,13 @@ TEST(Ablation, AllOptionCombinationsAgree)
         EXPECT_FALSE(reference.empty()) << spec.id;
         for (bool type_filter : {false, true}) {
             for (bool batch : {false, true}) {
-                for (bool scalar : {false, true}) {
-                    StreamerOptions opt{type_filter, batch, scalar};
+                for (const kernels::Kernel* kern :
+                     {&kernels::active(), kernels::find("scalar")}) {
+                    kernels::Override guard(*kern);
+                    StreamerOptions opt{type_filter, batch};
                     EXPECT_EQ(runWith(json, q, opt), reference)
                         << spec.id << " tf=" << type_filter
-                        << " batch=" << batch << " scalar=" << scalar;
+                        << " batch=" << batch << " kernel=" << kern->name;
                 }
             }
         }

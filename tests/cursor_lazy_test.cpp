@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "util/rng.h"
@@ -68,20 +69,23 @@ TEST(CursorLazy, StringsAtThreadsCarriesForward)
 
 TEST(CursorLazy, ScalarClassifierModeAgrees)
 {
+    // The cursor's string layer and lazy structural bitmaps, block by
+    // block, against the character-level reference classifier.
     jsonski::Rng rng(5);
     std::string s;
     static constexpr char chars[] = "{}[]:,\"\\ ab1\n";
     for (int i = 0; i < 500; ++i)
         s += chars[rng.below(sizeof(chars) - 1)];
-    StreamCursor simd(s, /*scalar_classifier=*/false);
-    StreamCursor scalar(s, /*scalar_classifier=*/true);
+    StreamCursor cur(s);
+    ClassifierCarry carry{};
     for (size_t base = 0; base < s.size(); base += kBlockSize) {
-        simd.setPos(base);
-        scalar.setPos(base);
-        EXPECT_EQ(simd.strings().in_string, scalar.strings().in_string)
-            << base;
-        EXPECT_EQ(simd.bits('{'), scalar.bits('{')) << base;
-        EXPECT_EQ(simd.bits(','), scalar.bits(',')) << base;
+        BlockBits ref = classifyBlockReference(
+            s.data() + base, std::min(kBlockSize, s.size() - base), carry);
+        cur.setPos(base);
+        EXPECT_EQ(cur.strings().in_string, ref.in_string) << base;
+        EXPECT_EQ(cur.strings().quote, ref.quote) << base;
+        EXPECT_EQ(cur.bits('{'), ref.open_brace) << base;
+        EXPECT_EQ(cur.bits(','), ref.comma) << base;
     }
 }
 

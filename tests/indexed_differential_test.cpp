@@ -4,8 +4,10 @@
  * from the document must be *observationally identical* to plain
  * Streamer::run — same match values byte for byte, same match counts,
  * and on malformed input the same ErrorCode at the same position —
- * across the differential corpus, the default query mix, a ladder of
- * chunk sizes, and every runnable SIMD kernel.  (FastForwardStats may
+ * across the differential corpus, the default query mix, and every
+ * runnable SIMD kernel.  The warm path is resident-only; the plain
+ * side follows JSONSKI_TEST_CHUNK_BYTES, so the chunked CI legs compare
+ * warm runs against chunked streaming.  (FastForwardStats may
  * differ: the index changes how bytes are skipped, not what matches.)
  *
  * Invalidation contract: an index that no longer describes the
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "index/structural_index.h"
-#include "intervals/chunk_source.h"
 #include "kernels/kernel.h"
 #include "path/matches.h"
 #include "path/parser.h"
@@ -42,7 +43,6 @@ using jsonski::testing::StructuredMutator;
 namespace path = jsonski::path;
 namespace ski = jsonski::ski;
 namespace kernels = jsonski::kernels;
-namespace intervals = jsonski::intervals;
 
 namespace {
 
@@ -97,17 +97,6 @@ runWarm(const std::string& doc, const path::PathQuery& q,
         [&](CollectSink* sink) { return s.runIndexed(doc, ix, sink); });
 }
 
-Observed
-runWarmChunked(const std::string& doc, const path::PathQuery& q,
-               const StructuralIndex& ix, size_t chunk_bytes)
-{
-    Streamer s(q);
-    return observe([&](CollectSink* sink) {
-        intervals::ViewSource src(doc);
-        return s.runIndexed(src, ix, sink, chunk_bytes);
-    });
-}
-
 std::string
 describe(const Observed& o)
 {
@@ -116,8 +105,6 @@ describe(const Observed& o)
                "@" + std::to_string(o.position);
     return std::to_string(o.matches) + " matches";
 }
-
-const std::vector<size_t> kChunkings = {1, 7, 64, 4096};
 
 } // namespace
 
@@ -141,14 +128,6 @@ TEST(IndexedDifferential, WarmEqualsStreamingAcrossCorpusAndChunkings)
                 << "query=" << query_texts[qi] << " cold "
                 << describe(cold) << " warm " << describe(warm)
                 << " doc: " << doc.substr(0, 120);
-            for (size_t chunk : kChunkings) {
-                Observed wc = runWarmChunked(doc, queries[qi], ix, chunk);
-                EXPECT_TRUE(cold == wc)
-                    << "query=" << query_texts[qi] << " chunk=" << chunk
-                    << " cold " << describe(cold) << " warm "
-                    << describe(wc) << " doc: " << doc.substr(0, 120);
-                ++compared;
-            }
             ++compared;
         }
     }
@@ -173,15 +152,10 @@ TEST(IndexedDifferential, WarmEqualsStreamingUnderEveryKernel)
             size_t qi = di % queries.size();
             Observed cold = runPlain(doc, queries[qi]);
             Observed warm = runWarm(doc, queries[qi], ix);
-            Observed chunked =
-                runWarmChunked(doc, queries[qi], ix, 64);
             EXPECT_TRUE(cold == warm)
                 << "kernel=" << kern->name
                 << " query=" << query_texts[qi] << " cold "
                 << describe(cold) << " warm " << describe(warm);
-            EXPECT_TRUE(cold == chunked)
-                << "kernel=" << kern->name
-                << " query=" << query_texts[qi] << " chunked";
         }
     }
 }
@@ -214,10 +188,6 @@ TEST(IndexedDifferential, MutantSweepWarmMatchesStreaming)
             << " query=" << query_texts[qi] << " cold " << describe(cold)
             << " warm " << describe(warm)
             << " json: " << mutant.substr(0, 160);
-        Observed chunked = runWarmChunked(mutant, queries[qi], ix, 7);
-        EXPECT_TRUE(cold == chunked)
-            << "iter=" << iter << " chunked divergence query="
-            << query_texts[qi];
         if (ix.usable())
             ++warm_runs;
     }
@@ -310,16 +280,6 @@ TEST(IndexedDifferential, InvalidButCleanDocumentRepaysPlainOnMismatch)
         EXPECT_TRUE(plain == warm)
             << qt << ": plain " << describe(plain) << " vs warm "
             << describe(warm);
-        // The chunked warm path cannot replay a forward-only source;
-        // it may fail closed with IndexMismatch, but must never
-        // produce a *different* answer silently.
-        for (size_t chunk : kChunkings) {
-            Observed cw = runWarmChunked(doc, q, ix, chunk);
-            EXPECT_TRUE(cw == plain ||
-                        (cw.threw && cw.code == ErrorCode::IndexMismatch))
-                << qt << " chunk=" << chunk << ": plain "
-                << describe(plain) << " vs chunked-warm " << describe(cw);
-        }
     }
 }
 

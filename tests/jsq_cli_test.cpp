@@ -259,13 +259,14 @@ TEST(JsqCli, UnreadableInputsFailTypedInEveryMode)
                 << mode << " " << q;
         }
     }
-    // A directory opens but cannot be read (EISDIR): whole-file and
-    // chunked ingestion report the same typed read failure, as does
-    // stdin redirected from it.
+    // A directory opens but cannot be read (EISDIR): whole-file,
+    // chunked and record-stream ingestion report the same typed read
+    // failure, as does stdin redirected from it.
     for (const std::string& cmd :
          {bin + " -c '$' " + quote(dir.str()),
           bin + " --chunk-bytes 4096 -c '$' " + quote(dir.str()),
           bin + " -r -c '$.a,$.b' " + quote(dir.str()),
+          bin + " -r -c '$.a' " + quote(dir.str()),
           bin + " -c '$' < " + quote(dir.str())}) {
         Outcome o = shell(dir, cmd);
         EXPECT_EQ(o.status, 1) << cmd;

@@ -6,7 +6,8 @@
  * per-query match counts, ErrorCode and error position — across query
  * sets with shared prefixes, disjoint prefixes, duplicates, and
  * filter/descendant divergent suffixes, at every chunk size in the
- * ladder and under every runnable SIMD kernel.  The batched pass must
+ * ladder and under every runnable SIMD kernel, plus random plain-step
+ * sets over random documents at every chunk size.  The batched pass must
  * also never ingest more bytes than the *slowest* solo pass (one
  * combined scan replaces N scans, it never adds input work — and it
  * inherits early-stop from the point where the last query dies).
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "intervals/chunk_source.h"
+#include "json/validate.h"
+#include "json/writer.h"
 #include "kernels/kernel.h"
 #include "path/matches.h"
 #include "path/parser.h"
@@ -26,6 +29,7 @@
 #include "ski/streamer.h"
 #include "testing/differential.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 using namespace jsonski;
 
@@ -200,6 +204,84 @@ querySets()
     };
 }
 
+const std::vector<std::string> kKeys = {"a", "b", "cc", "id", "v", "nm"};
+
+/** Up to @p n attributes with distinct keys from kKeys. */
+void genMembers(Rng& rng, json::Writer& w, size_t n, int depth);
+
+void
+genValue(Rng& rng, json::Writer& w, int depth)
+{
+    double shape = rng.real();
+    if (depth <= 0 || shape < 0.4) {
+        switch (rng.below(4)) {
+          case 0:
+            w.number(rng.range(-999, 999));
+            break;
+          case 1:
+            w.string(rng.ident(1 + rng.below(8)));
+            break;
+          case 2:
+            w.boolean(rng.chance(0.5));
+            break;
+          default:
+            w.null();
+            break;
+        }
+    } else if (shape < 0.72) {
+        w.beginObject();
+        genMembers(rng, w, rng.below(4), depth - 1);
+        w.endObject();
+    } else {
+        w.beginArray();
+        size_t n = rng.below(5);
+        for (size_t i = 0; i < n; ++i)
+            genValue(rng, w, depth - 1);
+        w.endArray();
+    }
+}
+
+void
+genMembers(Rng& rng, json::Writer& w, size_t n, int depth)
+{
+    std::vector<std::string> keys = kKeys;
+    for (size_t i = 0; i < n && !keys.empty(); ++i) {
+        size_t pick = rng.below(keys.size());
+        w.key(keys[pick]);
+        keys.erase(keys.begin() + static_cast<long>(pick));
+        genValue(rng, w, depth);
+    }
+}
+
+/** A random 1-3 step query of keys, indexes, slices and wildcards. */
+std::string
+genPlainQuery(Rng& rng)
+{
+    path::PathQuery q;
+    size_t steps = 1 + rng.below(3);
+    for (size_t i = 0; i < steps; ++i) {
+        switch (rng.below(4)) {
+          case 0:
+            q.steps.push_back(
+                path::PathStep::makeKey(kKeys[rng.below(kKeys.size())]));
+            break;
+          case 1:
+            q.steps.push_back(path::PathStep::makeIndex(rng.below(3)));
+            break;
+          case 2: {
+            size_t lo = rng.below(2);
+            q.steps.push_back(
+                path::PathStep::makeSlice(lo, lo + 1 + rng.below(3)));
+            break;
+          }
+          default:
+            q.steps.push_back(path::PathStep::makeWildcard());
+            break;
+        }
+    }
+    return q.toString();
+}
+
 } // namespace
 
 TEST(QuerySetDifferential, ShapesTimesChunksTimesKernels)
@@ -229,6 +311,32 @@ TEST(QuerySetDifferential, GeneratorCorpusAgrees)
                          "corpus set@" + std::to_string(i));
         }
     }
+}
+
+TEST(QuerySetDifferential, RandomPlainStepSetsAgree)
+{
+    // 300 random documents, each with a random set of 1-4 plain-step
+    // queries; random sets collide, so duplicates are exercised too.
+    Rng rng(424242);
+    size_t total = 0;
+    for (int iter = 0; iter < 300; ++iter) {
+        json::Writer w;
+        w.beginObject();
+        genMembers(rng, w, 1 + rng.below(4), 4);
+        w.endObject();
+        std::string doc = w.take();
+        ASSERT_TRUE(json::validate(doc));
+
+        std::vector<std::string> set;
+        for (size_t i = 0, k = 1 + rng.below(4); i < k; ++i)
+            set.push_back(genPlainQuery(rng));
+        for (size_t chunk : kChunks)
+            checkSet(doc, set, chunk, "random@" + std::to_string(iter));
+        ski::MultiStreamer ms(path::QuerySet::fromTexts(set));
+        for (size_t m : ms.run(doc).matches)
+            total += m;
+    }
+    EXPECT_GT(total, 20u); // the generator exercised real matches
 }
 
 TEST(QuerySetDifferential, MalformedDocsAgreeOnErrorDetail)
